@@ -1,15 +1,13 @@
-"""Synthetic data models, Monte Carlo risk estimation, study drivers, and the CLI."""
+"""Synthetic data models, seeded random streams, study drivers, and the CLI."""
 
 from .models import (
     SparseDeblur,
     SparseDenoise,
     SpectralSource,
     TvImages,
-    gen_sparse_dataset,
-    gen_spectral_dataset,
     sample_unit_ball,
 )
-from .risk import RiskReport, estimate_expected_risk, rng_from
+from .risk import RiskReport, rng_from
 from .idx import load_idx_images
 
 __all__ = [
@@ -17,11 +15,8 @@ __all__ = [
     "SparseDenoise",
     "SpectralSource",
     "TvImages",
-    "gen_sparse_dataset",
-    "gen_spectral_dataset",
     "sample_unit_ball",
     "RiskReport",
-    "estimate_expected_risk",
     "rng_from",
     "load_idx_images",
 ]

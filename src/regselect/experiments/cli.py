@@ -25,9 +25,6 @@ from .studies import (
     run_risk_curve,
 )
 
-SUBCOMMANDS = ("generate", "risk-curve", "rate-study", "noise-study",
-               "plateau-study", "compare-qo", "bound-check")
-
 
 def parse_grid(text: str) -> tuple[float, float, int]:
     """Parse lo:hi:N into (float, float, int)."""
@@ -41,21 +38,34 @@ def parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-# flag name -> (config attribute, parser); config files share the same keys.
-_FIELDS = {
-    "model": ("model", str),
-    "d": ("d", int),
-    "s": ("source_exponent", float),
-    "sparsity": ("sparsity", int),
-    "tau": ("tau", float),
-    "n": ("n", int),
-    "n_mc": ("n_mc", int),
-    "grid": ("grid", parse_grid),
-    "filter": ("filter", str),
-    "loss": ("loss", str),
-    "seed": ("seed", int),
-    "trials": ("trials", int),
-    "out": ("out", str),
+# Option name -> (config attribute, converter, extra argparse keywords).  The
+# flag is --name with '_' spelled '-'; config files use the same names.
+OPTIONS = {
+    "model": ("model", str, {"choices": MODEL_CHOICES}),
+    "d": ("d", int, {"help": "signal dimension"}),
+    "s": ("source_exponent", float, {"help": "source smoothness exponent"}),
+    "sparsity": ("sparsity", int, {}),
+    "tau": ("tau", float, {"help": "noise level"}),
+    "n": ("n", int, {"help": "training pairs per trial"}),
+    "n_mc": ("n_mc", int, {"help": "Monte Carlo sample count"}),
+    "grid": ("grid", parse_grid, {"metavar": "LO:HI:N"}),
+    "filter": ("filter", str, {"choices": FILTER_CHOICES}),
+    "loss": ("loss", str, {"choices": LOSS_CHOICES}),
+    "seed": ("seed", int, {}),
+    "trials": ("trials", int, {}),
+    "out": ("out", str, {"help": "output directory"}),
+}
+
+# Subcommand -> (driver, names of the files it writes under --out, as
+# str.format templates over the config).
+COMMANDS = {
+    "generate": (run_generate, ("dataset.bin",)),
+    "risk-curve": (run_risk_curve, ("risk_curve.csv", "risk_curve_trials.csv")),
+    "rate-study": (run_rate_study, ("rate_{cfg.filter}.csv",)),
+    "noise-study": (run_noise_study, ("noise_study.csv",)),
+    "plateau-study": (run_plateau_study, ("plateau.csv", "plateau_trials.csv")),
+    "compare-qo": (run_qo_comparison, ("qo_comparison.csv",)),
+    "bound-check": (run_bound_check, ("bound_curve.csv", "bound_summary.csv")),
 }
 
 
@@ -70,9 +80,9 @@ def read_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FIELDS:
+        if key not in OPTIONS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, convert = _FIELDS[key]
+        attr, convert, _ = OPTIONS[key]
         values[attr] = convert(value.strip())
     return values
 
@@ -82,22 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="regselect",
         description="Reproducible studies of learned regularization strengths.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--model", choices=MODEL_CHOICES, default=None)
-        p.add_argument("--d", type=int, default=None, help="signal dimension")
-        p.add_argument("--s", type=float, default=None, help="source smoothness exponent")
-        p.add_argument("--sparsity", type=int, default=None)
-        p.add_argument("--tau", type=float, default=None, help="noise level")
-        p.add_argument("--n", type=int, default=None, help="training pairs per trial")
-        p.add_argument("--n-mc", type=int, default=None, help="Monte Carlo sample count")
-        p.add_argument("--grid", type=parse_grid, default=None, metavar="LO:HI:N")
-        p.add_argument("--filter", choices=FILTER_CHOICES, default=None)
-        p.add_argument("--loss", choices=LOSS_CHOICES, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
+        for key, (_, convert, extra) in OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=convert, default=None, **extra)
     return parser
 
 
@@ -105,8 +104,8 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
     values: dict = {}
     if args.config is not None:
         values.update(read_config_file(args.config))
-    for flag, (attr, _) in _FIELDS.items():
-        given = getattr(args, flag)
+    for key, (attr, _, _) in OPTIONS.items():
+        given = getattr(args, key)
         if given is not None:
             values[attr] = given
     return StudyConfig(**values)
@@ -119,28 +118,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    command = args.command
-    if command == "generate":
-        path = run_generate(cfg)
-        print(f"wrote {path}")
-    elif command == "risk-curve":
-        run_risk_curve(cfg)
-        print(f"wrote {cfg.out_dir / 'risk_curve.csv'} and {cfg.out_dir / 'risk_curve_trials.csv'}")
-    elif command == "rate-study":
-        run_rate_study(cfg)
-        print(f"wrote {cfg.out_dir / ('rate_' + cfg.filter + '.csv')}")
-    elif command == "noise-study":
-        run_noise_study(cfg)
-        print(f"wrote {cfg.out_dir / 'noise_study.csv'}")
-    elif command == "plateau-study":
-        run_plateau_study(cfg)
-        print(f"wrote {cfg.out_dir / 'plateau.csv'} and {cfg.out_dir / 'plateau_trials.csv'}")
-    elif command == "compare-qo":
-        run_qo_comparison(cfg)
-        print(f"wrote {cfg.out_dir / 'qo_comparison.csv'}")
-    else:
-        run_bound_check(cfg)
-        print(f"wrote {cfg.out_dir / 'bound_curve.csv'} and {cfg.out_dir / 'bound_summary.csv'}")
+    driver, names = COMMANDS[args.command]
+    driver(cfg)
+    paths = [str(cfg.out_dir / name.format(cfg=cfg)) for name in names]
+    print(f"wrote {' and '.join(paths)}")
     return 0
 
 

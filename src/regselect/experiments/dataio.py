@@ -79,7 +79,13 @@ def load_dataset(path):
         arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset).reshape(shape)
         loaded[entry["name"]] = arr.astype(float)
         offset += size * 8
+    if offset != len(raw):
+        raise ValueError(f"{len(raw) - offset} trailing bytes after the last array")
     op_meta = meta["operator"]
+    needed = {"ys", "xs"} | ({"operator"} if op_meta["kind"] in ("dense", "convolution") else set())
+    missing = sorted(needed - loaded.keys())
+    if missing:
+        raise ValueError(f"dataset file lacks arrays: {', '.join(missing)}")
     if op_meta["kind"] == "dense":
         operator = DenseOperator(loaded["operator"])
     elif op_meta["kind"] == "convolution":

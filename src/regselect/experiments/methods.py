@@ -55,27 +55,32 @@ class SpectralFilterMethod:
         lams = np.asarray(lams, dtype=float)
         return (self.filter_table(lams) * self.coefficients(y)) @ self.decomp.right.T
 
-    def risk_curve(self, loss, data, lams):
-        """Truncated-squared risk curve in coefficient space.
+    def squared_terms(self, data, lams):
+        """(||X||^2, <X, x>) per pair and grid value, shapes (n, N), and
+        ||x||^2 per pair, for the reconstructions X = self(y, lam).
 
         Exact because the right singular vectors are orthonormal, so norms
         and inner products against the truths reduce to coefficient sums.
-        Returns None when the loss or data fall outside the fast case.
         """
-        if not isinstance(loss, TruncatedSquaredLoss):
-            return None
         xs = np.asarray(data.xs, dtype=float)
-        if xs.ndim != 2:
-            return None
         truth_sq = np.einsum("ij,ij->i", xs, xs)
-        if np.any(truth_sq > loss.radius ** 2):
-            return None  # truths would be truncated; use the generic path
-        lams = np.asarray(lams, dtype=float)
         coeffs = self.coefficients(data.ys)                    # (n, r)
         table = self.filter_table(lams)                        # (N, r)
         truth_coeffs = xs @ self.decomp.right                  # (n, r)
         recon_sq = (coeffs ** 2) @ (table ** 2).T              # (n, N) = ||X||^2
         cross = (coeffs * truth_coeffs) @ table.T              # (n, N) = <X, x>
+        return recon_sq, cross, truth_sq
+
+    def risk_curve(self, loss, data, lams):
+        """Truncated-squared risk curve in coefficient space.
+
+        Returns None when the loss or data fall outside the fast case.
+        """
+        if not isinstance(loss, TruncatedSquaredLoss) or np.ndim(data.xs) != 2:
+            return None
+        recon_sq, cross, truth_sq = self.squared_terms(data, lams)
+        if np.any(truth_sq > loss.radius ** 2):
+            return None  # truths would be truncated; use the generic path
         norms = np.sqrt(np.maximum(recon_sq, 0.0))
         scale = np.where(norms > loss.radius, loss.radius / np.maximum(norms, 1e-300), 1.0)
         losses = scale ** 2 * recon_sq - 2.0 * scale * cross + truth_sq[:, None]

@@ -201,22 +201,9 @@ class TvImages:
         return TrainingSet(ys=ys, xs=xs)
 
     def describe(self) -> dict:
+        """Descriptor with the pool's actual image side and count, which an
+        IDX source sets rather than the side and pool_size fields."""
+        count, side = self.pool().shape[:2]
         return {"model": "tv", "source": self.source or "synthetic",
-                "noise_level": self.noise_level, "side": self.side,
-                "pool_size": self.pool_size, "pool_seed": self.pool_seed}
-
-
-def gen_spectral_dataset(model: SpectralSource, n: int, rng: np.random.Generator):
-    """Fixed normalized Gaussian operator plus n sampled pairs."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return model.operator(), model.sample(rng, n)
-
-
-def gen_sparse_dataset(model, n: int, rng: np.random.Generator):
-    """Forward operator plus n sampled pairs for the sparse models."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not isinstance(model, (SparseDenoise, SparseDeblur)):
-        raise TypeError("expected a SparseDenoise or SparseDeblur model")
-    return model.operator(), model.sample(rng, n)
+                "noise_level": self.noise_level, "side": side,
+                "pool_size": count, "pool_seed": self.pool_seed}

@@ -1,4 +1,4 @@
-"""Seeded random streams and Monte Carlo estimation of the expected risk."""
+"""Seeded random streams and the aggregated risk-curve report."""
 
 from __future__ import annotations
 
@@ -41,21 +41,3 @@ class RiskReport:
         n = self.grid.size
         if not (self.risk_mean.size == self.risk_p05.size == self.risk_p95.size == n):
             raise ValueError("risk columns must have one row per grid value")
-
-
-def pair_losses(method, loss, data, lam: float) -> np.ndarray:
-    """Loss of method(y, lam) for every pair in the training set."""
-    return np.array([loss(method(y, float(lam)), x) for y, x in data.pairs])
-
-
-def estimate_expected_risk(method, loss, model, lam: float, n_mc: int, seed) -> tuple[float, float, float]:
-    """Monte Carlo mean and 5th/95th percentiles of the loss at one parameter.
-
-    Samples n_mc fresh pairs from the model; deterministic given the seed.
-    """
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
-    rng = rng_from(seed, "expected-risk")
-    data = model.sample(rng, n_mc)
-    losses = pair_losses(method, loss, data, lam)
-    return float(losses.mean()), float(np.percentile(losses, 5)), float(np.percentile(losses, 95))

@@ -133,10 +133,11 @@ def make_method(cfg: StudyConfig, model):
 
 
 def make_loss(cfg: StudyConfig, model):
+    info = model.describe()
     kind = cfg.loss
     if kind is None:
         kind = {"spectral": "truncated-squared", "denoise": "l1-bregman",
-                "deblur": "l1-bregman", "tv": "tv-bregman"}[model.describe()["model"]]
+                "deblur": "l1-bregman", "tv": "tv-bregman"}[info["model"]]
     if kind == "truncated-squared":
         if isinstance(model, TvImages):
             raise ValueError("truncated-squared loss applies to vector models only")
@@ -151,7 +152,7 @@ def make_loss(cfg: StudyConfig, model):
         return L1BregmanLoss(bound=bound)
     if not isinstance(model, TvImages):
         raise ValueError("tv-bregman loss needs the tv model's dual certificates")
-    side = model.side if model.source is None else model.pool().shape[1]
+    side = info["side"]
     return TvBregmanLoss(bound=4.0 * side * (side - 1))
 
 
@@ -340,19 +341,8 @@ def run_plateau_study(cfg: StudyConfig) -> PlateauResult:
 
 
 def _squared_error_matrix(method: SpectralFilterMethod, data, lams) -> np.ndarray:
-    """Plain squared test errors ||X_lam(y_i) - x_i||^2, shape (n, N).
-
-    Computed in coefficient space; the component of x orthogonal to the
-    operator's right singular vectors contributes a constant.
-    """
-    dec = method.decomp
-    coeffs = method.coefficients(data.ys)
-    table = method.filter_table(lams)
-    truth_coeffs = np.asarray(data.xs, dtype=float) @ dec.right
-    truth_sq = np.einsum("ij,ij->i", np.asarray(data.xs, dtype=float),
-                         np.asarray(data.xs, dtype=float))
-    recon_sq = (coeffs ** 2) @ (table ** 2).T
-    cross = (coeffs * truth_coeffs) @ table.T
+    """Plain squared test errors ||X_lam(y_i) - x_i||^2, shape (n, N)."""
+    recon_sq, cross, truth_sq = method.squared_terms(data, lams)
     return recon_sq - 2.0 * cross + truth_sq[:, None]
 
 

@@ -118,19 +118,12 @@ class TvBregmanLoss:
         return bregman_tv(truth, img, eta)
 
 
-def empirical_risk(method, loss, data: TrainingSet, lam: float) -> float:
-    """Mean loss of method(y, lam) against the paired truths."""
-    total = 0.0
-    for y, x in data.pairs:
-        total += loss(method(y, lam), x)
-    return total / len(data)
-
-
 def risk_curve(method, loss, data: TrainingSet, grid) -> np.ndarray:
-    """Empirical risk at every grid value, in grid order.
+    """Empirical risk (mean loss of method(y, lam) over the pairs) at every
+    grid value, in grid order.
 
     Uses the method's vectorized risk_curve or solve_grid fast paths when
-    present; results are identical to looping empirical_risk over the grid.
+    present; a plain callable gets the per-call loop, which they match.
     """
     lams = np.asarray(getattr(grid, "values", grid), dtype=float)
     curve_hook = getattr(method, "risk_curve", None)
@@ -162,18 +155,6 @@ def erm_select(method, loss, data: TrainingSet, grid):
     risks = risk_curve(method, loss, data, lams)
     j = int(np.argmin(risks))
     return float(lams[j]), risks
-
-
-def oracle_select(method, loss, sampler, grid, n_mc: int, seed):
-    """Best grid value under the Monte Carlo risk estimate on fresh samples.
-
-    `sampler(rng, n)` must return a TrainingSet.  Returns (lambda_star, risks).
-    """
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
-    rng = np.random.default_rng(seed)
-    data = sampler(rng, n_mc)
-    return erm_select(method, loss, data, grid)
 
 
 def quasi_optimality_tikhonov(path, grid):

@@ -1,4 +1,4 @@
-"""Spectral regularization: filter families, solvers, truncated loss."""
+"""Spectral regularization: filter families, solvers, truncation."""
 
 from __future__ import annotations
 
@@ -119,9 +119,3 @@ def truncate(x, radius: float = 1.0):
     if nrm <= radius:
         return x
     return (radius / nrm) * x
-
-
-def truncated_sq_loss(x, x_true, radius: float = 1.0) -> float:
-    """Squared distance after projecting both points onto the radius ball."""
-    diff = truncate(x, radius) - truncate(x_true, radius)
-    return float(diff @ diff)

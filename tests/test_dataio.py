@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,29 @@ class TestDatasetRoundTrip:
         raw[4] = FORMAT_VERSION + 1
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
+            load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "t.bin"
+        save_dataset(path, {"model": "toy"}, IdentityOperator(3), toy_data(rng, 3, 3))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("kind, names", [("identity", ["ys"]),
+                                             ("identity", ["xs"]),
+                                             ("dense", ["ys", "xs"])],
+                             ids=["no-xs", "no-ys", "no-operator"])
+    def test_missing_array_rejected(self, tmp_path, kind, names):
+        meta = {"format_version": FORMAT_VERSION, "model": {"model": "toy"},
+                "operator": {"kind": kind, "dim": 2},
+                "arrays": [{"name": name, "shape": [1, 2]} for name in names]}
+        blob = json.dumps(meta).encode("utf-8")
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"RSEL" + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob
+                         + np.zeros(2 * len(names), dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="lacks arrays"):
             load_dataset(path)
 
     def test_unpersistable_operator_rejected(self, tmp_path):

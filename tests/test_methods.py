@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regselect.experiments.methods import (
     LassoMethod,
@@ -14,7 +15,8 @@ from regselect.selection import (
     TruncatedSquaredLoss,
     geometric_grid,
 )
-from regselect.spectral import Landweber, Tikhonov, spectral_filter_solve
+from regselect.experiments.studies import _squared_error_matrix
+from regselect.spectral import Landweber, SpectralCutoff, Tikhonov, spectral_filter_solve
 from regselect.variational import SolverConfig, soft_threshold, total_variation
 
 
@@ -25,6 +27,25 @@ def spectral_fixture(seed=0, n=6, m=10, d=8, tau=0.05):
     xs /= np.linalg.norm(xs, axis=1, keepdims=True) * 1.25
     ys = op.apply(xs) + tau * rng.standard_normal((n, m))
     return op, TrainingSet(ys, xs)
+
+
+def assert_close_to_scale(got, want, scale):
+    """Agreement to 1e-10 relative to ||X||^2 + ||x||^2: the coefficient-space
+    forms subtract terms of that size, so a loss near zero keeps their
+    rounding error rather than a relative error of its own size."""
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-10 * scale)
+
+
+@st.composite
+def spectral_problems(draw):
+    """A random (operator, training set, grid) and one of the three filters."""
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    n, count = draw(st.integers(1, 8)), draw(st.integers(1, 25))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    op, data = spectral_fixture(seed, n, m, d, tau=draw(st.floats(0.01, 0.5)))
+    lams = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 1.0, count)
+    filt = draw(st.sampled_from((Tikhonov(), Landweber(stepsize=0.2), SpectralCutoff())))
+    return SpectralFilterMethod(op, filt), data, lams
 
 
 class TestSpectralFilterMethod:
@@ -46,16 +67,29 @@ class TestSpectralFilterMethod:
             for lam, row in zip(grid.values, stacked):
                 np.testing.assert_allclose(row, method(data.ys[0], lam), atol=1e-12)
 
-    def test_risk_curve_hook_matches_generic_loop(self):
-        op, data = spectral_fixture(2)
-        method = SpectralFilterMethod(op, Tikhonov())
+    @settings(max_examples=60, deadline=None)
+    @given(spectral_problems())
+    def test_risk_curve_hook_matches_generic_loop(self, problem):
+        method, data, lams = problem
         loss = TruncatedSquaredLoss()
-        grid = geometric_grid(1e-3, 50.0, 40)
-        fast = method.risk_curve(loss, data, grid.values)
+        fast = method.risk_curve(loss, data, lams)
         slow = np.array([
             np.mean([loss(method(y, lam), x) for y, x in data.pairs])
-            for lam in grid.values])
-        np.testing.assert_allclose(fast, slow, atol=1e-12)
+            for lam in lams])
+        # truncated reconstructions and truths lie in the unit ball, so the
+        # subtracted terms are at most 2 and so is the scale of rounding
+        assert_close_to_scale(fast, slow, 2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spectral_problems())
+    def test_squared_error_matrix_matches_per_pair(self, problem):
+        method, data, lams = problem
+        errors = _squared_error_matrix(method, data, lams)
+        recons = [[method(y, lam) for lam in lams] for y in data.ys]
+        direct = np.array([[np.sum((r - x) ** 2) for r in row]
+                           for row, x in zip(recons, data.xs)])
+        scale = np.array([[r @ r + x @ x for r in row] for row, x in zip(recons, data.xs)])
+        assert_close_to_scale(errors, direct, scale)
 
     def test_risk_curve_hook_declines_other_losses(self):
         op, data = spectral_fixture(3)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,10 @@ from regselect.experiments.models import (
     SparseDenoise,
     SpectralSource,
     TvImages,
-    gen_sparse_dataset,
-    gen_spectral_dataset,
     sample_unit_ball,
 )
 from regselect.experiments.risk import rng_from
+from regselect.experiments.studies import StudyConfig, make_loss
 from regselect.operators import ConvolutionOperator
 
 
@@ -87,12 +88,6 @@ class TestSpectralSource:
         np.testing.assert_array_equal(a.ys, b.ys)
         np.testing.assert_array_equal(a.xs, b.xs)
 
-    def test_gen_spectral_dataset(self):
-        model = SpectralSource(d=11)
-        op, data = gen_spectral_dataset(model, 13, np.random.default_rng(4))
-        assert op is model.operator()
-        assert len(data) == 13
-
 
 class TestSparseModels:
     def test_denoise_sparsity_and_norm(self):
@@ -116,16 +111,6 @@ class TestSparseModels:
 
     def test_deblur_operator_normalized(self):
         assert SparseDeblur(d=128).operator().operator_norm() <= 1.0 + 1e-10
-
-    def test_gen_sparse_dataset_type_check(self):
-        with pytest.raises(TypeError):
-            gen_sparse_dataset(SpectralSource(d=5), 3, np.random.default_rng(0))
-
-    def test_gen_sparse_dataset_roundtrip(self):
-        model = SparseDenoise(d=40, sparsity=3)
-        op, data = gen_sparse_dataset(model, 9, np.random.default_rng(9))
-        assert len(data) == 9
-        assert data.xs.shape == (9, 40)
 
 
 class TestTvImages:
@@ -153,3 +138,15 @@ class TestTvImages:
         data = model.sample(rng_from(12, "t"), 20)
         for img in data.xs:
             assert any(np.array_equal(img, p) for p in pool)
+
+    def test_idx_source_describes_the_file(self, tmp_path):
+        # the side and pool_size fields keep their defaults (28, 256); the
+        # descriptor and the TV loss bound must follow the 4-image 16x16 file
+        path = tmp_path / "tiny.idx"
+        pixels = np.arange(4 * 16 * 16, dtype=np.uint8).reshape(4, 16, 16)
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 4, 16, 16) + pixels.tobytes())
+        model = TvImages(source=str(path))
+        info = model.describe()
+        assert (info["side"], info["pool_size"]) == (16, 4)
+        loss = make_loss(StudyConfig(model="tv", tv_source=str(path)), model)
+        assert loss.bound == 4.0 * 16 * 15

@@ -3,9 +3,10 @@ import pytest
 
 from regselect.experiments.methods import SpectralFilterMethod
 from regselect.experiments.models import sample_unit_ball
-from regselect.experiments.risk import RiskReport, estimate_expected_risk, rng_from
+from regselect.experiments.risk import RiskReport, rng_from
+from regselect.experiments.studies import _holdout_curve, _squared_error_matrix
 from regselect.operators import IdentityOperator
-from regselect.selection import TrainingSet, TruncatedSquaredLoss
+from regselect.selection import TrainingSet, TruncatedSquaredLoss, risk_curve
 from regselect.spectral import Tikhonov
 
 
@@ -53,23 +54,24 @@ class IdentityDenoise:
 
 
 class TestEstimateExpectedRisk:
+    """The Monte Carlo risk estimate: the empirical risk over fresh samples."""
+
     def test_identity_noiseless_corner(self):
         # Tikhonov on the identity shrinks by 1/(1+lam), so the loss is
         # (lam/(1+lam))^2 ||x||^2 and the risk is that times d/(d+2)
         d, lam, n_mc = 6, 0.5, 40_000
         method = SpectralFilterMethod(IdentityOperator(d), Tikhonov())
-        model = IdentityDenoise(d)
-        mean, p05, p95 = estimate_expected_risk(method, TruncatedSquaredLoss(), model,
-                                                lam, n_mc, seed=0)
+        data = IdentityDenoise(d).sample(rng_from(0, "expected-risk"), n_mc)
+        (mean,) = risk_curve(method, TruncatedSquaredLoss(), data, [lam])
         want = (lam / (1 + lam)) ** 2 * d / (d + 2.0)
         assert mean == pytest.approx(want, rel=0.03)
-        assert p05 <= mean <= p95
 
     def test_quantiles_bracket_distribution(self):
         d, lam = 4, 1.0
         method = SpectralFilterMethod(IdentityOperator(d), Tikhonov())
-        mean, p05, p95 = estimate_expected_risk(method, TruncatedSquaredLoss(),
-                                                IdentityDenoise(d), lam, 10_000, seed=1)
+        data = IdentityDenoise(d).sample(rng_from(1, "expected-risk"), 10_000)
+        losses = _squared_error_matrix(method, data, [lam])[:, 0]
+        p05, p95 = np.percentile(losses, [5, 95])
         scale = (lam / (1 + lam)) ** 2
         # ||x||^2 has CDF t^(d/2) on [0,1]: p-th quantile is p^(2/d)
         assert p05 == pytest.approx(scale * 0.05 ** (2.0 / d), rel=0.1)
@@ -77,17 +79,17 @@ class TestEstimateExpectedRisk:
 
     def test_deterministic_in_seed(self):
         method = SpectralFilterMethod(IdentityOperator(3), Tikhonov())
-        a = estimate_expected_risk(method, TruncatedSquaredLoss(), IdentityDenoise(3),
-                                   0.2, 500, seed=9)
-        b = estimate_expected_risk(method, TruncatedSquaredLoss(), IdentityDenoise(3),
-                                   0.2, 500, seed=9)
-        assert a == b
+        args = (method, TruncatedSquaredLoss(), IdentityDenoise(3), [0.2, 0.4], 500)
+        a = _holdout_curve(*args, 9, "holdout")
+        b = _holdout_curve(*args, 9, "holdout")
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, _holdout_curve(*args, 10, "holdout"))
 
     def test_rejects_bad_n_mc(self):
         method = SpectralFilterMethod(IdentityOperator(3), Tikhonov())
         with pytest.raises(ValueError):
-            estimate_expected_risk(method, TruncatedSquaredLoss(), IdentityDenoise(3),
-                                   0.2, 0, seed=0)
+            _holdout_curve(method, TruncatedSquaredLoss(), IdentityDenoise(3), [0.2], 0, 0,
+                           "holdout")
 
 
 class TestRiskReport:

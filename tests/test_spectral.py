@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from regselect.operators import DenseOperator
+from regselect.selection import TruncatedSquaredLoss
 from regselect.spectral import (
     Landweber,
     SpectralCutoff,
@@ -11,7 +12,6 @@ from regselect.spectral import (
     spectral_filter_solve,
     tikhonov_solve,
     truncate,
-    truncated_sq_loss,
 )
 
 
@@ -140,13 +140,15 @@ class TestTruncation:
     def test_loss_bounded_by_four(self):
         # both arguments inside the unit ball: ||Tx - x'||^2 <= (1+1)^2 = 4
         rng = np.random.default_rng(3)
+        loss = TruncatedSquaredLoss()
+        assert loss.bound == 4.0
         for _ in range(100):
             x = rng.standard_normal(6) * 10
             truth = rng.standard_normal(6)
             truth = truth / max(1.0, np.linalg.norm(truth))
-            assert truncated_sq_loss(x, truth) <= 4.0 + 1e-12
+            assert loss(x, truth) <= 4.0 + 1e-12
 
     def test_loss_hand_value(self):
         # x = (3,4) truncates to (0.6,0.8); against truth (0.6,0.8) loss is 0
-        assert truncated_sq_loss(np.array([3.0, 4.0]), np.array([0.6, 0.8])) == \
+        assert TruncatedSquaredLoss()(np.array([3.0, 4.0]), np.array([0.6, 0.8])) == \
             pytest.approx(0.0, abs=1e-14)
