@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ..variational import ConvergenceError
 from .studies import (
     FILTER_CHOICES,
     LOSS_CHOICES,
@@ -119,7 +120,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     driver, names = COMMANDS[args.command]
-    driver(cfg)
+    try:
+        driver(cfg)
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     paths = [str(cfg.out_dir / name.format(cfg=cfg)) for name in names]
     print(f"wrote {' and '.join(paths)}")
     return 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..selection import TruncatedSquaredLoss
+from ..selection import L1BregmanLoss, TruncatedSquaredLoss
 from ..spectral import spectral_filter_solve, filter_grid_matrix
 from ..variational import (
     SolverConfig,
@@ -97,6 +97,33 @@ class SoftThresholdMethod:
         y = np.asarray(y, dtype=float)
         lams = np.asarray(lams, dtype=float)
         return np.sign(y) * np.maximum(np.abs(y)[None, :] - lams[:, None], 0.0)
+
+    def risk_curve(self, loss, data, lams):
+        """l1-Bregman risk curve from one sort per pair.
+
+        S_lam(y) has the sign of y where |y| > lam and is 0 elsewhere, so its
+        loss ||x||_1 - <sign(S_lam(y)), x> is ||x||_1 minus the sum of
+        sign(y_j) x_j over the coordinates with |y_j| > lam: a prefix sum in
+        order of decreasing |y_j|.  Returns None when the loss or data fall
+        outside this case.
+        """
+        if not isinstance(loss, L1BregmanLoss) or np.ndim(data.xs) != 2:
+            return None
+        ys = np.asarray(data.ys, dtype=float)
+        xs = np.asarray(data.xs, dtype=float)
+        lams = np.asarray(lams, dtype=float)
+        n, d = ys.shape
+        mags = np.abs(ys)
+        order = np.argsort(mags, axis=1, kind="stable")  # increasing |y|
+        sorted_mags = np.take_along_axis(mags, order, axis=1)
+        # kept[i, j]: how many |y_ij| exceed lams[j]; side="right" keeps a
+        # coordinate with |y_ij| == lams[j] out, as S_lam sets it to 0
+        kept = d - np.stack([np.searchsorted(row, lams, side="right") for row in sorted_mags])
+        kept_sums = np.zeros((n, d + 1))
+        terms = np.take_along_axis(np.sign(ys) * xs, order, axis=1)[:, ::-1]
+        np.cumsum(terms, axis=1, out=kept_sums[:, 1:])
+        losses = np.abs(xs).sum(axis=1)[:, None] - np.take_along_axis(kept_sums, kept, axis=1)
+        return losses.mean(axis=0)
 
 
 class LassoMethod:

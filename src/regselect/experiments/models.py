@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -185,11 +185,19 @@ class TvImages:
     pool_seed: int = 0
 
     def pool(self) -> np.ndarray:
+        """The (count, side, side) truth images, read-only."""
+        return self._pool
+
+    @cached_property
+    def _pool(self) -> np.ndarray:
+        # An IDX source is parsed once per instance, not once per use.
         if self.source is None:
-            return _synthetic_images(self.side, self.pool_size, self.pool_seed)
-        images = load_idx_images(self.source)
-        if images.shape[1] != images.shape[2]:
-            raise ValueError("TV experiments need square images")
+            images = _synthetic_images(self.side, self.pool_size, self.pool_seed)
+        else:
+            images = load_idx_images(self.source)
+            if images.shape[1] != images.shape[2]:
+                raise ValueError("TV experiments need square images")
+        images.flags.writeable = False
         return images
 
     def sample(self, rng: np.random.Generator, n: int) -> TrainingSet:

@@ -190,10 +190,10 @@ def quasi_optimality_landweber(op, y, grid, stepsize: float = 0.2):
     if np.any(stepsize * eig >= 2.0):
         raise ValueError("stepsize too large for the spectrum: needs stepsize * max eig < 2")
     coeffs = (np.asarray(y, dtype=float) @ decomp.left) * sig
-    dists = np.empty(lams.size - 1)
-    for j in range(lams.size - 1):
-        k = landweber_iterations(lams[j + 1])
-        delta = (landweber_factors(eig, 2 * k, stepsize) - landweber_factors(eig, k, stepsize)) * coeffs
-        dists[j] = np.linalg.norm(delta)
+    # One distance per distinct k: grid points sharing k tie exactly, so the
+    # argmin still picks the first of them.
+    ks, where = np.unique(landweber_iterations(lams[1:]), return_inverse=True)
+    delta = (landweber_factors(eig, 2 * ks, stepsize) - landweber_factors(eig, ks, stepsize)) * coeffs
+    dists = np.linalg.norm(delta, axis=1)[where]
     j = int(np.argmin(dists))
     return j, float(lams[j])

@@ -50,22 +50,34 @@ class SpectralCutoff:
         return out
 
 
-def landweber_iterations(lam: float) -> int:
-    """Iteration count floor(1/lam) used by the Landweber filter."""
-    if lam <= 0:
+def landweber_iterations(lam):
+    """Iteration count floor(1/lam) used by the Landweber filter; an array of
+    lams gives an integer array of counts."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0):
         raise ValueError("lam must be positive")
-    return int(np.floor(1.0 / lam))
+    k = np.floor(1.0 / lam).astype(np.int64)
+    return int(k) if k.ndim == 0 else k
 
 
-def landweber_factors(eigvals: np.ndarray, k: int, stepsize: float) -> np.ndarray:
+def landweber_factors(eigvals: np.ndarray, k, stepsize: float) -> np.ndarray:
     """Filter factors of exactly k Landweber steps on the spectrum of A^T A.
 
     (1 - (1 - stepsize * e)^k) / e, extended continuously by stepsize * k at e = 0.
+    An integer array k gives one row per count, each bit for bit the scalar call.
     """
     eigvals = np.asarray(eigvals, dtype=float)
-    out = np.full_like(eigvals, stepsize * k)
+    ks = np.asarray(k, dtype=np.int64)
+    out = np.empty(ks.shape + eigvals.shape)
+    out[...] = (stepsize * ks).reshape(ks.shape + (1,) * eigvals.ndim)
     pos = eigvals > 0
-    out[pos] = (1.0 - (1.0 - stepsize * eigvals[pos]) ** int(k)) / eigvals[pos]
+    base = 1.0 - stepsize * eigvals[pos]
+    col = ks[..., None]
+    # numpy evaluates base ** 2 for a Python int 2 by multiplication, not by
+    # pow(); rows of k = 2 do the same, so every factor equals the one from
+    # base ** int(k) bit for bit
+    powers = np.where(col == 2, base * base, base ** col)
+    out[..., pos] = (1.0 - powers) / eigvals[pos]
     return out
 
 

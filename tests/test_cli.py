@@ -1,12 +1,14 @@
 import pytest
 
 from regselect.experiments.cli import (
+    COMMANDS,
     build_parser,
     config_from_args,
     main,
     parse_grid,
     read_config_file,
 )
+from regselect.variational import ConvergenceError
 
 
 class TestParseGrid:
@@ -77,6 +79,16 @@ class TestMain:
 
     def test_missing_config_file_returns_error_code(self, tmp_path):
         assert main(["risk-curve", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_solver_failure_returns_error_code(self, tmp_path, monkeypatch, capsys):
+        def diverging_driver(cfg):
+            raise ConvergenceError("lasso did not converge in 3 iterations")
+
+        monkeypatch.setitem(COMMANDS, "risk-curve", (diverging_driver, ("risk_curve.csv",)))
+        assert main(["risk-curve", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: lasso did not converge in 3 iterations\n"
+        assert captured.out == ""
 
     def test_bound_check_writes_files(self, tmp_path, capsys):
         rc = main(["bound-check", "--model", "spectral", "--tau", "0.01",

@@ -109,6 +109,23 @@ class TestSpectralFilterMethod:
         assert method.filter_table(lams) is method.filter_table(lams.copy())
 
 
+@st.composite
+def l1_problems(draw):
+    """Random pairs and an unsorted grid, with ties and zeros in |y|, exact
+    zeros in the truths, and grid values equal to some |y_j|."""
+    n, d, count = draw(st.integers(1, 8)), draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = np.append(0.0, rng.uniform(0.0, 2.0, 3))  # few magnitudes, so |y| ties
+    mags = np.where(rng.random((n, d)) < 0.5, rng.choice(levels, (n, d)),
+                    rng.uniform(0.0, 2.0, (n, d)))
+    ys = rng.choice([-1.0, 1.0], (n, d)) * mags
+    xs = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.7)
+    lams = np.concatenate([rng.choice(mags.ravel(), count),
+                           10.0 ** rng.uniform(-3.0, 0.5, count)])
+    rng.shuffle(lams)
+    return TrainingSet(ys, xs), lams
+
+
 class TestSoftThresholdMethod:
     def test_call_is_soft_threshold(self):
         rng = np.random.default_rng(6)
@@ -124,6 +141,31 @@ class TestSoftThresholdMethod:
         stacked = method.solve_grid(y, lams)
         for lam, row in zip(lams, stacked):
             np.testing.assert_array_equal(row, method(y, lam))
+
+    @settings(max_examples=100, deadline=None)
+    @given(l1_problems())
+    def test_risk_curve_hook_matches_generic_loop(self, problem):
+        data, lams = problem
+        method, loss = SoftThresholdMethod(), L1BregmanLoss()
+        fast = method.risk_curve(loss, data, lams)
+        slow = np.mean([loss.batch(method.solve_grid(y, lams), x) for y, x in data.pairs], axis=0)
+        scale = np.abs(data.xs).sum(axis=1).mean()
+        assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+        # Grid values that keep the same coordinates (up to zeros of x) have
+        # equal risks.  The hook keeps those ties exact; the matrix product in
+        # `batch` may round equal rows differently by their position.  So the
+        # minimizer is checked against per-call losses, whose ties are exact.
+        per_call = np.mean([[loss(method(y, lam), x) for lam in lams] for y, x in data.pairs],
+                           axis=0)
+        assert np.argmin(fast) == np.argmin(per_call)
+
+    def test_risk_curve_hook_declines_other_cases(self):
+        rng = np.random.default_rng(13)
+        method, lams = SoftThresholdMethod(), np.array([0.1, 1.0])
+        flat = TrainingSet(rng.standard_normal((3, 8)), rng.standard_normal((3, 8)))
+        images = TrainingSet(rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4, 4)))
+        assert method.risk_curve(TruncatedSquaredLoss(), flat, lams) is None
+        assert method.risk_curve(L1BregmanLoss(), images, lams) is None
 
 
 class TestLassoMethod:

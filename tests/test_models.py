@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from regselect.experiments import models
+from regselect.experiments.idx import load_idx_images
 from regselect.experiments.models import (
     SparseDeblur,
     SparseDenoise,
@@ -11,7 +13,7 @@ from regselect.experiments.models import (
     sample_unit_ball,
 )
 from regselect.experiments.risk import rng_from
-from regselect.experiments.studies import StudyConfig, make_loss
+from regselect.experiments.studies import StudyConfig, make_loss, run_risk_curve
 from regselect.operators import ConvolutionOperator
 
 
@@ -150,3 +152,24 @@ class TestTvImages:
         assert (info["side"], info["pool_size"]) == (16, 4)
         loss = make_loss(StudyConfig(model="tv", tv_source=str(path)), model)
         assert loss.bound == 4.0 * 16 * 15
+
+    def test_idx_source_is_parsed_once_per_run(self, tmp_path, monkeypatch):
+        path = tmp_path / "tiny.idx"
+        pixels = np.arange(3 * 6 * 6, dtype=np.uint8).reshape(3, 6, 6)
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 3, 6, 6) + pixels.tobytes())
+        loads = []
+
+        def counting_load(source):
+            loads.append(source)
+            return load_idx_images(source)
+
+        monkeypatch.setattr(models, "load_idx_images", counting_load)
+        cfg = StudyConfig(model="tv", tv_source=str(path), n=1, trials=3,
+                          grid=(0.05, 0.5, 2), out=str(tmp_path / "out"))
+        run_risk_curve(cfg)  # loss bound, three samples, CSV metadata
+        assert loads == [str(path)]
+
+    def test_pool_is_read_only(self):
+        pool = TvImages(side=6, pool_size=3).pool()
+        with pytest.raises(ValueError):
+            pool[0, 0, 0] = 0.5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regselect.operators import DenseOperator
 from regselect.selection import (
@@ -12,7 +13,13 @@ from regselect.selection import (
     quasi_optimality_tikhonov,
     risk_curve,
 )
-from regselect.spectral import Landweber, Tikhonov, landweber_iterations, spectral_filter_solve
+from regselect.spectral import (
+    Landweber,
+    Tikhonov,
+    landweber_factors,
+    landweber_iterations,
+    spectral_filter_solve,
+)
 from regselect.experiments.methods import SpectralFilterMethod
 from regselect.variational import bregman_l1
 
@@ -159,6 +166,33 @@ class TestSelection:
         np.testing.assert_allclose(fast, plain, atol=1e-10)
 
 
+def reference_qo_landweber(op, y, lams, stepsize):
+    """The per-grid-point loop: two factor rows and one norm per grid value."""
+    dec = op.decomposition()
+    eig = dec.singular_values ** 2
+    coeffs = (y @ dec.left) * dec.singular_values
+    dists = []
+    for lam in lams[1:]:
+        k = landweber_iterations(lam)
+        delta = (landweber_factors(eig, 2 * k, stepsize) - landweber_factors(eig, k, stepsize)) * coeffs
+        dists.append(np.linalg.norm(delta))
+    return int(np.argmin(dists))
+
+
+@st.composite
+def landweber_qo_problems(draw):
+    """A random normalized operator, observation and stepsize, and a grid
+    dense enough that many points share k; about a third of the grids end
+    above 1, in a tail where k = 0 and the distance is 0."""
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    op = DenseOperator(rng.standard_normal((m, d))).normalize()
+    y = rng.standard_normal(m) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    grid = geometric_grid(10.0 ** rng.uniform(-3.0, -1.5), 10.0 ** rng.uniform(-1.4, 0.6),
+                          draw(st.integers(2, 400)))
+    return op, y, grid, draw(st.floats(0.05, 1.95))
+
+
 class TestQuasiOptimality:
     def test_tikhonov_brute_force_oracle(self):
         rng = np.random.default_rng(6)
@@ -223,3 +257,23 @@ class TestQuasiOptimality:
         grid = geometric_grid(0.5, 4.0, 8)
         j, lam = quasi_optimality_landweber(op, rng.standard_normal(5), grid)
         assert 0 <= j < grid.count - 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(landweber_qo_problems())
+    def test_landweber_matches_per_grid_point_loop(self, problem):
+        op, y, grid, stepsize = problem
+        j, lam = quasi_optimality_landweber(op, y, grid, stepsize)
+        assert j == reference_qo_landweber(op, y, grid.values, stepsize)
+        assert lam == grid.values[j]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 12), st.lists(st.integers(0, 5000), min_size=1, max_size=40),
+           st.floats(0.05, 1.95), st.integers(0, 2 ** 32 - 1))
+    def test_landweber_factor_rows_equal_scalar_calls_bitwise(self, r, ks, stepsize, seed):
+        rng = np.random.default_rng(seed)
+        eig = rng.uniform(0.0, 1.0, r) * (rng.random(r) < 0.8)  # some exact zeros
+        ks = np.array([0, 1, 2] + ks)
+        table = landweber_factors(eig, ks, stepsize)
+        stacked = np.stack([landweber_factors(eig, int(k), stepsize) for k in ks])
+        assert table.shape == (ks.size, r)
+        assert table.tobytes() == stacked.tobytes()
